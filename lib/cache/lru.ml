@@ -34,7 +34,10 @@ module Make (K : KEY) = struct
   let create ?(generation = 0) ~capacity () =
     {
       capacity;
-      table = H.create (min 1024 (max 16 capacity));
+      (* Start small and let the table grow: a join cache builds one of
+         these per (stripe, document generation), and most of them are
+         retired long before they fill. *)
+      table = H.create 16;
       head = None;
       tail = None;
       generation;

@@ -68,7 +68,7 @@ let analyze_query ?(clock = Clock.monotonic) ?cache ?deadline ctx (q : Query.t) 
       | Plan.Pair_join _, [ a; b ] -> Join.pairwise ~stats ?cache ?deadline ctx a b
       | Plan.Pair_join_filtered (p, _, _), [ a; b ] ->
           Join.pairwise_filtered ~stats ?cache ?deadline ctx
-            ~keep:(Filter.evaluate ctx p) a b
+            ~prune:p a b
       | Plan.Power_join _, [ a; b ] ->
           Powerset.via_fixed_points ~stats ?cache ?deadline ctx a b
       | Plan.Fixed_point _, [ s ] -> Fixed_point.naive ~stats ?cache ?deadline ctx s
@@ -76,7 +76,7 @@ let analyze_query ?(clock = Clock.monotonic) ?cache ?deadline ctx (q : Query.t) 
           Fixed_point.with_reduction ~stats ?cache ?deadline ctx s
       | Plan.Fixed_point_filtered (p, _), [ s ] ->
           Fixed_point.naive_filtered ~stats ?cache ?deadline ctx
-            ~keep:(Filter.evaluate ctx p) s
+            ~prune:p s
       | _ -> assert false
     in
     let before = Op_stats.to_assoc stats in

@@ -71,6 +71,41 @@ let rec evaluate (ctx : Context.t) p f =
   | And (p1, p2) -> evaluate ctx p1 f && evaluate ctx p2 f
   | Or (p1, p2) -> evaluate ctx p1 f || evaluate ctx p2 f
 
+(* Terms [may_join] can bound from the operands alone; a filter without
+   one skips the LCA query altogether. *)
+let rec bounds_join = function
+  | Size_at_most _ | Span_at_most _ | Height_at_most _ -> true
+  | And (p1, p2) | Or (p1, p2) -> bounds_join p1 || bounds_join p2
+  | _ -> false
+
+(* The join is f1 ∪ f2 ∪ path(r1, r2) and its root is l = lca(r1, r2),
+   the smallest pre-order id in it.  See the interface for the bounds. *)
+let may_join (ctx : Context.t) p =
+  if not (bounds_join p) then fun _ _ -> true
+  else fun f1 f2 ->
+    let r1 = Fragment.root f1 and r2 = Fragment.root f2 in
+    let l = Xfrag_doctree.Lca.lca ctx.lca r1 r2 in
+    let d1 = Doctree.depth ctx.tree r1 and d2 = Doctree.depth ctx.tree r2 in
+    let dl = Doctree.depth ctx.tree l in
+    let rec go = function
+      | Size_at_most beta ->
+          let s1 = Fragment.size f1 and s2 = Fragment.size f2 in
+          let least =
+            if l = r1 then max s1 (s2 + d2 - d1)
+            else if l = r2 then max s2 (s1 + d1 - d2)
+            else s1 + s2 + d1 + d2 - (2 * dl) - 1
+          in
+          least <= beta
+      | Span_at_most w ->
+          let last f = Xfrag_util.Int_sorted.max_elt (Fragment.nodes f) in
+          max (last f1) (last f2) - l <= w
+      | Height_at_most h -> max d1 d2 - dl <= h
+      | And (p1, p2) -> go p1 && go p2
+      | Or (p1, p2) -> go p1 || go p2
+      | _ -> true
+    in
+    go p
+
 let rec is_anti_monotonic = function
   | True | Size_at_most _ | Height_at_most _ | Span_at_most _ | Diameter_at_most _
   | Width_at_most _ | Depth_under _ | Labels_among _ ->

@@ -38,6 +38,24 @@ type t =
 
 val evaluate : Context.t -> t -> Fragment.t -> bool
 
+val may_join : Context.t -> t -> Fragment.t -> Fragment.t -> bool
+(** [may_join ctx p f1 f2] is a conservative O(1) pre-join test: it
+    returns [false] only when [f1 ⋈ f2] is sure to fail [p], without
+    building the join.  With roots r1, r2, l = lca(r1, r2) and d the
+    document depth (the join is f1 ∪ f2 ∪ path(r1, r2), rooted at l):
+    - [Size_at_most β]: when neither root is an ancestor of the other
+      the size is exactly |f1| + |f2| + d(r1) + d(r2) − 2·d(l) − 1 (the
+      subtrees are disjoint and the path adds only strict ancestors);
+      when l = r1 it is at least max(|f1|, |f2| + d(r2) − d(r1)), and
+      symmetrically when l = r2;
+    - [Span_at_most w]: the span is exactly max(max f1, max f2) − l;
+    - [Height_at_most h]: the height is at least max(d(r1), d(r2)) − d(l);
+    - [And]/[Or] combine their children's answers;
+    - every other term answers "may pass".
+
+    Apply it to [ctx] and [p] once and reuse the closure: a filter with
+    no bounded term returns a constant [true] test. *)
+
 val is_anti_monotonic : t -> bool
 (** Sound syntactic classification (conjunction and disjunction preserve
     the property; negation and the inherently non-anti-monotonic leaves

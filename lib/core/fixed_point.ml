@@ -33,12 +33,12 @@ let traced_fixed_point trace name seed_size f =
    of [seed], hence contains some member as a subfragment, hence absorbs
    it — so the round result is a superset of [acc] and no explicit union
    is needed. *)
-let step ?stats ?cache ?trace ?deadline ctx ~keep acc seed =
-  Join.pairwise_filtered ?stats ?cache ?trace ?deadline ctx ~keep acc seed
+let step ?stats ?cache ?trace ?deadline ctx ~prune acc seed =
+  Join.pairwise_filtered ?stats ?cache ?trace ?deadline ctx ~prune acc seed
 
 let naive_general ?stats ?cache ?(trace = Trace.disabled)
-    ?(deadline = Deadline.none) ~name ctx ~keep set =
-  let seed = Frag_set.filter keep set in
+    ?(deadline = Deadline.none) ~name ctx ~prune set =
+  let seed = Frag_set.filter (Filter.evaluate ctx prune) set in
   if Frag_set.is_empty seed then seed
   else
     traced_fixed_point trace name (Frag_set.cardinal seed) (fun () ->
@@ -47,7 +47,7 @@ let naive_general ?stats ?cache ?(trace = Trace.disabled)
           round stats;
           let next =
             traced_round trace n (Frag_set.cardinal acc) (fun () ->
-                step ?stats ?cache ~trace ~deadline ctx ~keep acc seed)
+                step ?stats ?cache ~trace ~deadline ctx ~prune acc seed)
           in
           if Frag_set.cardinal next = Frag_set.cardinal acc then acc
           else go (n + 1) next
@@ -56,7 +56,7 @@ let naive_general ?stats ?cache ?(trace = Trace.disabled)
 
 let naive ?stats ?cache ?trace ?deadline ctx set =
   naive_general ?stats ?cache ?trace ?deadline ~name:"fixed-point" ctx
-    ~keep:(fun _ -> true)
+    ~prune:Filter.True
     set
 
 (* Delta iteration: only last round's discoveries are joined against the
@@ -64,8 +64,8 @@ let naive ?stats ?cache ?trace ?deadline ctx set =
    join ⋈ one seed member (associativity/commutativity), and that prefix
    was some round's discovery. *)
 let semi_naive ?stats ?cache ?(trace = Trace.disabled)
-    ?(deadline = Deadline.none) ?(keep = fun _ -> true) ctx set =
-  let seed = Frag_set.filter keep set in
+    ?(deadline = Deadline.none) ?(prune = Filter.True) ctx set =
+  let seed = Frag_set.filter (Filter.evaluate ctx prune) set in
   if Frag_set.is_empty seed then seed
   else
     traced_fixed_point trace "fixed-point:semi-naive" (Frag_set.cardinal seed)
@@ -79,7 +79,7 @@ let semi_naive ?stats ?cache ?(trace = Trace.disabled)
               traced_round trace n (Frag_set.cardinal delta) (fun () ->
                   let produced =
                     Join.pairwise_filtered ?stats ?cache ~trace ~deadline ctx
-                      ~keep delta seed
+                      ~prune delta seed
                   in
                   Frag_set.diff produced acc)
             in
@@ -88,9 +88,9 @@ let semi_naive ?stats ?cache ?(trace = Trace.disabled)
         in
         go 1 seed seed)
 
-let naive_filtered ?stats ?cache ?trace ?deadline ctx ~keep set =
+let naive_filtered ?stats ?cache ?trace ?deadline ctx ~prune set =
   naive_general ?stats ?cache ?trace ?deadline ~name:"fixed-point:pruned" ctx
-    ~keep set
+    ~prune set
 
 let iterate ?stats ?cache ?trace ?deadline ctx n set =
   if n < 1 then invalid_arg "Fixed_point.iterate: n must be at least 1";
@@ -99,7 +99,7 @@ let iterate ?stats ?cache ?trace ?deadline ctx n set =
     else begin
       round stats;
       go
-        (step ?stats ?cache ?trace ?deadline ctx ~keep:(fun _ -> true) acc set)
+        (step ?stats ?cache ?trace ?deadline ctx ~prune:Filter.True acc set)
         (remaining - 1)
     end
   in
@@ -111,8 +111,8 @@ let iterate ?stats ?cache ?trace ?deadline ctx n set =
    loop that makes the result correct for arbitrary seeds at the price of
    at least one confirming round. *)
 let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
-    ?(deadline = Deadline.none) ?reduced ctx ~keep ~confirm set =
-  let seed = Frag_set.filter keep set in
+    ?(deadline = Deadline.none) ?reduced ctx ~prune ~confirm set =
+  let seed = Frag_set.filter (Filter.evaluate ctx prune) set in
   if Frag_set.is_empty seed then seed
   else
     traced_fixed_point trace "fixed-point:reduced" (Frag_set.cardinal seed)
@@ -134,7 +134,7 @@ let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
             round stats;
             let next =
               traced_round trace n (Frag_set.cardinal acc) (fun () ->
-                  step ?stats ?cache ~trace ~deadline ctx ~keep acc seed)
+                  step ?stats ?cache ~trace ~deadline ctx ~prune acc seed)
             in
             fast_forward (n + 1) next (remaining - 1)
           end
@@ -147,7 +147,7 @@ let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
             round stats;
             let next =
               traced_round trace n (Frag_set.cardinal acc) (fun () ->
-                  step ?stats ?cache ~trace ~deadline ctx ~keep acc seed)
+                  step ?stats ?cache ~trace ~deadline ctx ~prune acc seed)
             in
             if Frag_set.cardinal next = Frag_set.cardinal acc then acc
             else converge (n + 1) next
@@ -157,19 +157,19 @@ let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
 
 let with_reduction ?stats ?cache ?trace ?deadline ctx set =
   with_reduction_general ?stats ?cache ?trace ?deadline ctx
-    ~keep:(fun _ -> true)
+    ~prune:Filter.True
     ~confirm:true set
 
 let with_reduction_unchecked ?stats ?cache ?trace ?deadline ?reduced ctx set =
   with_reduction_general ?stats ?cache ?trace ?deadline ?reduced ctx
-    ~keep:(fun _ -> true)
+    ~prune:Filter.True
     ~confirm:false set
 
-let with_reduction_filtered ?stats ?cache ?trace ?deadline ctx ~keep set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~keep ~confirm:true
+let with_reduction_filtered ?stats ?cache ?trace ?deadline ctx ~prune set =
+  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~prune ~confirm:true
     set
 
-let with_reduction_filtered_unchecked ?stats ?cache ?trace ?deadline ctx ~keep
+let with_reduction_filtered_unchecked ?stats ?cache ?trace ?deadline ctx ~prune
     set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~keep
+  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~prune
     ~confirm:false set

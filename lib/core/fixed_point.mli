@@ -22,9 +22,11 @@
       (§3.1.2), then verify convergence — sound for every input;
     - {!with_reduction_unchecked}: the paper's exact Theorem 1 recipe,
       exactly k−1 rounds and no check — use only on single-node seeds;
-    - {!naive_filtered} / {!with_reduction_filtered}: the same, pruning
-      with an anti-monotonic predicate after every join (Theorem 3
-      push-down inside the fixed point).
+    - {!naive_filtered} / {!with_reduction_filtered}: the same, pruned
+      by an anti-monotonic filter (Theorem 3 push-down inside the fixed
+      point), bounded before and checked after every join: pairs whose
+      join {!Filter.may_join} proves fails the filter are never built,
+      and every join that is built is checked with {!Filter.evaluate}.
 
     Every strategy accepts an optional [?deadline] ({!Deadline.t},
     default {!Deadline.none}): checked at the top of every round and
@@ -45,7 +47,7 @@ val semi_naive :
   ?cache:Join_cache.t ->
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
-  ?keep:(Fragment.t -> bool) ->
+  ?prune:Filter.t ->
   Context.t ->
   Frag_set.t ->
   Frag_set.t
@@ -55,8 +57,9 @@ val semi_naive :
     the seed, instead of the whole accumulated set.  Correct because
     join results involving two old fragments were already produced in an
     earlier round.  Performs strictly fewer joins than {!naive} after the
-    first round; answers are identical (property-tested).  [keep] prunes
-    anti-monotonically as in {!naive_filtered}. *)
+    first round; answers are identical (property-tested).  [prune]
+    (default {!Filter.True}) prunes anti-monotonically as in
+    {!naive_filtered}. *)
 
 val with_reduction :
   ?stats:Op_stats.t ->
@@ -103,12 +106,14 @@ val naive_filtered :
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
   Context.t ->
-  keep:(Fragment.t -> bool) ->
+  prune:Filter.t ->
   Frag_set.t ->
   Frag_set.t
-(** Fixed point of the [keep]-pruned join sequence, starting from
-    [filter keep F].  Sound for anti-monotonic [keep] in the sense that
-    [σ_keep F⁺ = σ_keep (naive_filtered ~keep F)]. *)
+(** Fixed point of the [prune]-pruned join sequence, starting from
+    [σ_prune F]; each round's joins are bounded before and checked
+    after (see {!Join.pairwise_filtered}).  Sound for anti-monotonic
+    [prune] in the sense that
+    [σ_prune F⁺ = σ_prune (naive_filtered ~prune F)]. *)
 
 val with_reduction_filtered :
   ?stats:Op_stats.t ->
@@ -116,7 +121,7 @@ val with_reduction_filtered :
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
   Context.t ->
-  keep:(Fragment.t -> bool) ->
+  prune:Filter.t ->
   Frag_set.t ->
   Frag_set.t
 (** Like {!naive_filtered} but fast-forwarded through |⊖|−1 rounds of the
@@ -128,11 +133,11 @@ val with_reduction_filtered_unchecked :
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
   Context.t ->
-  keep:(Fragment.t -> bool) ->
+  prune:Filter.t ->
   Frag_set.t ->
   Frag_set.t
 (** Theorem 1 + Theorem 3 combined with no convergence check: exactly
-    |⊖(σ_keep F)|−1 pruned rounds.  Correct when the input is a set of
-    single-node fragments and [keep] is anti-monotonic (σ_keep of the
+    |⊖(σ_prune F)|−1 pruned rounds.  Correct when the input is a set of
+    single-node fragments and [prune] is anti-monotonic (σ_prune of the
     answer is then reached within that round count — see the induction
     in DESIGN.md). *)

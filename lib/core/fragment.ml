@@ -106,7 +106,9 @@ module Interner = struct
 
   type t = interner
 
-  let create () = { tbl = Tbl.create 1024; next = 0 }
+  (* Small start, grown on demand: one interner lives in each join-cache
+     partition, and most partitions hold few fragments. *)
+  let create () = { tbl = Tbl.create 16; next = 0 }
 
   let intern t f =
     match Tbl.find_opt t.tbl f with

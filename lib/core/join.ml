@@ -45,12 +45,31 @@ let product_hint c1 c2 =
   else if c1 > max_size_hint / c2 then max_size_hint
   else c1 * c2
 
-let pairwise_loop ?stats ?cache ?(deadline = Deadline.none) ctx ~keep s1 s2 =
+let count_pruned stats =
+  bump stats (fun s -> s.Op_stats.pruned <- s.Op_stats.pruned + 1)
+
+(* One candidate pair, bounded before and checked after: a pair
+   [may_join] rejects still counts as a candidate and as pruned, but is
+   never materialized, so it touches neither the join cache nor
+   [fragment_joins]. *)
+let candidate ?stats ~may_join ~keep ~join out f1 f2 =
+  bump stats (fun s -> s.Op_stats.candidates <- s.Op_stats.candidates + 1);
+  if not (may_join f1 f2) then count_pruned stats
+  else begin
+    let f = join f1 f2 in
+    if not (keep f) then count_pruned stats
+    else if not (Frag_set.Builder.add out f) then
+      bump stats (fun s -> s.Op_stats.duplicates <- s.Op_stats.duplicates + 1)
+  end
+
+let pairwise_loop ?stats ?cache ?(deadline = Deadline.none) ctx ~prune s1 s2 =
   let out =
     Frag_set.Builder.create
       ~size_hint:(product_hint (Frag_set.cardinal s1) (Frag_set.cardinal s2))
       ()
   in
+  let may_join = Filter.may_join ctx prune and keep = Filter.evaluate ctx prune in
+  let join = fragment ?stats ?cache ctx in
   Frag_set.iter
     (fun f1 ->
       (* One check per outer row: between whole joins, never inside
@@ -58,23 +77,14 @@ let pairwise_loop ?stats ?cache ?(deadline = Deadline.none) ctx ~keep s1 s2 =
          mid-update.  The inner loop allocates at most |s2| fragments
          between checks. *)
       Deadline.check deadline;
-      Frag_set.iter
-        (fun f2 ->
-          let f = fragment ?stats ?cache ctx f1 f2 in
-          bump stats (fun s -> s.Op_stats.candidates <- s.Op_stats.candidates + 1);
-          if keep f then begin
-            if not (Frag_set.Builder.add out f) then
-              bump stats (fun s -> s.Op_stats.duplicates <- s.Op_stats.duplicates + 1)
-          end
-          else bump stats (fun s -> s.Op_stats.pruned <- s.Op_stats.pruned + 1))
-        s2)
+      Frag_set.iter (candidate ?stats ~may_join ~keep ~join out f1) s2)
     s1;
   Frag_set.Builder.freeze out
 
-let pairwise_general ?stats ?cache ?(trace = Trace.disabled) ?deadline ctx ~keep
+let pairwise_filtered ?stats ?cache ?(trace = Trace.disabled) ?deadline ctx ~prune
     s1 s2 =
   if not (Trace.is_enabled trace) then
-    pairwise_loop ?stats ?cache ?deadline ctx ~keep s1 s2
+    pairwise_loop ?stats ?cache ?deadline ctx ~prune s1 s2
   else
     Trace.with_span trace
       ~attrs:
@@ -84,17 +94,15 @@ let pairwise_general ?stats ?cache ?(trace = Trace.disabled) ?deadline ctx ~keep
         ]
       "pairwise-join"
       (fun () ->
-        let out = pairwise_loop ?stats ?cache ?deadline ctx ~keep s1 s2 in
+        let out = pairwise_loop ?stats ?cache ?deadline ctx ~prune s1 s2 in
         Trace.add_attr trace "out" (Json.Int (Frag_set.cardinal out));
         out)
 
 let pairwise ?stats ?cache ?trace ?deadline ctx s1 s2 =
-  pairwise_general ?stats ?cache ?trace ?deadline ctx ~keep:(fun _ -> true) s1 s2
+  pairwise_filtered ?stats ?cache ?trace ?deadline ctx ~prune:Filter.True s1 s2
 
-let pairwise_filtered ?stats ?cache ?trace ?deadline ctx ~keep s1 s2 =
-  pairwise_general ?stats ?cache ?trace ?deadline ctx ~keep s1 s2
-
-let pairwise_parallel ?stats ?cache ?trace ?domains ?(keep = fun _ -> true) ctx s1 s2 =
+let pairwise_parallel ?stats ?cache ?trace ?domains ?(prune = Filter.True) ctx s1
+    s2 =
   let domains =
     match domains with
     | Some d -> max 1 d
@@ -103,11 +111,12 @@ let pairwise_parallel ?stats ?cache ?trace ?domains ?(keep = fun _ -> true) ctx 
   let elems = Array.of_list (Frag_set.elements s1) in
   let n = Array.length elems in
   if domains = 1 || n < 2 * domains then
-    pairwise_general ?stats ?cache ?trace ctx ~keep s1 s2
+    pairwise_filtered ?stats ?cache ?trace ctx ~prune s1 s2
   else begin
     (* One span in the spawning domain around the whole fan-out; workers
        do not touch the tracer (its open-span stack is per-tracer) and
        bypass the join cache (it is not domain-safe). *)
+    let may_join = Filter.may_join ctx prune and keep = Filter.evaluate ctx prune in
     let run () =
       let chunk = (n + domains - 1) / domains in
       let worker lo =
@@ -122,16 +131,10 @@ let pairwise_parallel ?stats ?cache ?trace ?domains ?(keep = fun _ -> true) ctx 
                      (Frag_set.cardinal s2))
                 ()
             in
+            let join = compute_fragment ~stats:local ctx in
             for i = lo to min (lo + chunk - 1) (n - 1) do
               Frag_set.iter
-                (fun f2 ->
-                  let f = compute_fragment ~stats:local ctx elems.(i) f2 in
-                  local.Op_stats.candidates <- local.Op_stats.candidates + 1;
-                  if keep f then begin
-                    if not (Frag_set.Builder.add out f) then
-                      local.Op_stats.duplicates <- local.Op_stats.duplicates + 1
-                  end
-                  else local.Op_stats.pruned <- local.Op_stats.pruned + 1)
+                (candidate ~stats:local ~may_join ~keep ~join out elems.(i))
                 s2
             done;
             (Frag_set.Builder.freeze out, local))

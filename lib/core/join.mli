@@ -69,26 +69,33 @@ val pairwise_filtered :
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
   Context.t ->
-  keep:(Fragment.t -> bool) ->
+  prune:Filter.t ->
   Frag_set.t ->
   Frag_set.t ->
   Frag_set.t
-(** Pairwise join that discards any result failing [keep] as soon as it
-    is produced — the primitive behind Theorem 3 push-down evaluation.
-    Only sound when [keep] is anti-monotonic (the caller guarantees
-    this). *)
+(** Pairwise join that keeps only results passing [prune] — the
+    primitive behind Theorem 3 push-down evaluation.  Every pair is
+    bounded before and checked after: {!Filter.may_join} first rejects,
+    in O(1), pairs whose join is sure to fail [prune] — those are never
+    materialized, never probe [cache] and never count as
+    [fragment_joins] — and {!Filter.evaluate} then checks each join that
+    is built.  Both come from the one [prune] value, so they cannot
+    disagree.  Every pair counts as a candidate; a pair rejected either
+    way also counts as [pruned].  Only sound for pushing below further joins when [prune]
+    is anti-monotonic (the caller guarantees this). *)
 
 val pairwise_parallel :
   ?stats:Op_stats.t ->
   ?cache:Join_cache.t ->
   ?trace:Xfrag_obs.Trace.t ->
   ?domains:int ->
-  ?keep:(Fragment.t -> bool) ->
+  ?prune:Filter.t ->
   Context.t ->
   Frag_set.t ->
   Frag_set.t ->
   Frag_set.t
-(** {!pairwise_filtered} with the outer operand partitioned across
+(** {!pairwise_filtered} (default [prune]: {!Filter.True}) with the outer
+    operand partitioned across
     OCaml 5 domains (default: [Domain.recommended_domain_count], capped
     at 8).  The context is only read, so sharing it is safe; results are
     merged deterministically.  Falls back to the sequential path for

@@ -7,9 +7,13 @@
 
 type t = {
   mutable fragment_joins : int;  (** f1 ⋈ f2 computations *)
-  mutable candidates : int;  (** fragments produced before dedup *)
+  mutable candidates : int;
+      (** operand pairs considered by a pairwise join, before the
+          pre-join bound, the filter check and dedup *)
   mutable duplicates : int;  (** candidates that were already present *)
-  mutable pruned : int;  (** fragments discarded by a pushed-down filter *)
+  mutable pruned : int;
+      (** candidates discarded by a pushed-down filter, whether the
+          pre-join bound rejected the pair or the built join failed *)
   mutable filtered : int;  (** fragments discarded by the final selection *)
   mutable fixpoint_rounds : int;  (** pairwise-join rounds executed *)
   mutable reduce_subset_checks : int;  (** subset tests inside ⊖ *)
@@ -35,14 +39,15 @@ val to_assoc : t -> (string * int) list
 val total_work : t -> int
 (** A single scalar proxy for the paper's "amount of computation":
     joins + subset checks — the two operations §4/§5 count when
-    comparing strategies.  [candidates] is deliberately excluded: every
-    candidate is the output of exactly one counted fragment join, so
-    adding it would double-count the same work; [duplicates], [pruned]
-    and [filtered] are likewise classifications of already-counted
-    outputs, not additional computation.  Cache counters are excluded
+    comparing strategies.  [candidates] is deliberately excluded: a
+    candidate costs at most one counted fragment join (none when the
+    pre-join bound rejects the pair), so adding it would double-count
+    the same work; [duplicates], [pruned] and [filtered] are likewise
+    classifications of already-counted candidates, not additional
+    computation.  Cache counters are excluded
     too: a hit is an O(1) table probe standing in for a join the engine
     did {e not} perform — with a {!Join_cache} attached,
-    [cache_hits + fragment_joins] is comparable to an uncached run's
+    [cache_hits + fragment_joins] equals an uncached run's
     [fragment_joins]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -20,7 +20,7 @@ let rec eval ?stats ?trace ctx = function
       Join.pairwise ?stats ?trace ctx (eval ?stats ?trace ctx a) (eval ?stats ?trace ctx b)
   | Pair_join_filtered (p, a, b) ->
       Join.pairwise_filtered ?stats ?trace ctx
-        ~keep:(Filter.evaluate ctx p)
+        ~prune:p
         (eval ?stats ?trace ctx a) (eval ?stats ?trace ctx b)
   | Power_join (a, b) ->
       Powerset.via_fixed_points ?stats ?trace ctx (eval ?stats ?trace ctx a)
@@ -30,7 +30,7 @@ let rec eval ?stats ?trace ctx = function
       Fixed_point.with_reduction ?stats ?trace ctx (eval ?stats ?trace ctx x)
   | Fixed_point_filtered (p, x) ->
       Fixed_point.naive_filtered ?stats ?trace ctx
-        ~keep:(Filter.evaluate ctx p)
+        ~prune:p
         (eval ?stats ?trace ctx x)
 
 let rec equal a b =

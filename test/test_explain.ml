@@ -71,8 +71,8 @@ let expected_snapshot =
       "actual: total 8.0us, 4 answer fragment(s)";
       "";
       "\xcf\x83 size<=3                                   rows=4      in=4         time=8.0us    self=1.0us   ";
-      "  \xe2\x8b\x88 [prune size<=3]                        rows=4      in=4x3       time=7.0us    self=1.0us    fragment_joins=+12 candidates=+12 duplicates=+5 pruned=+3";
-      "    fixed-point [prune size<=3]              rows=4      in=3         time=3.0us    self=1.0us    fragment_joins=+21 candidates=+21 duplicates=+4 pruned=+9 fixpoint_rounds=+2";
+      "  \xe2\x8b\x88 [prune size<=3]                        rows=4      in=4x3       time=7.0us    self=1.0us    fragment_joins=+9 candidates=+12 duplicates=+5 pruned=+3";
+      "    fixed-point [prune size<=3]              rows=4      in=3         time=3.0us    self=1.0us    fragment_joins=+12 candidates=+21 duplicates=+4 pruned=+9 fixpoint_rounds=+2";
       "      \xcf\x83 size<=3                             rows=3      in=3         time=2.0us    self=1.0us   ";
       "        scan optimization                    rows=3                   time=1.0us    self=1.0us   ";
       "    fixed-point [prune size<=3]              rows=3      in=2         time=3.0us    self=1.0us    fragment_joins=+10 candidates=+10 duplicates=+4 fixpoint_rounds=+2";

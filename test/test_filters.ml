@@ -11,6 +11,8 @@ module Paper = Xfrag_workload.Paper_doc
 module Random_tree = Xfrag_workload.Random_tree
 module Prng = Xfrag_util.Prng
 module Doctree = Xfrag_doctree.Doctree
+module Lca = Xfrag_doctree.Lca
+module Join = Xfrag_core.Join
 
 let ctx = lazy (Paper.figure1_context ())
 
@@ -236,6 +238,129 @@ let am_soundness_prop =
                   (connected_subfragments ctx f))
            filters))
 
+(* --- pre-join bound (Filter.may_join) --- *)
+
+(* A connected fragment rooted at [root]: grow only downwards, so the
+   root stays the root. *)
+let grow_from ctx prng root =
+  let tree = ctx.Context.tree in
+  let members = ref [ root ] in
+  for _ = 1 to Prng.int prng 6 do
+    let frontier =
+      List.concat_map
+        (fun n ->
+          List.filter (fun c -> not (List.mem c !members)) (Doctree.children tree n))
+        !members
+    in
+    if frontier <> [] then members := Prng.choose prng (Array.of_list frontier) :: !members
+  done;
+  Fragment.of_nodes ctx !members
+
+let rec random_descendant ctx prng n =
+  match Doctree.children ctx.Context.tree n with
+  | [] -> n
+  | kids ->
+      if Prng.int prng 4 = 0 then n
+      else random_descendant ctx prng (Prng.choose prng (Array.of_list kids))
+
+let is_ancestor ctx a b = Lca.lca ctx.Context.lca a b = a
+
+(* Operand pairs of every shape the bound distinguishes: equal roots,
+   one root an ancestor of the other (both orders), disjoint subtrees
+   (when the tree has any), and two unconstrained random fragments. *)
+let join_operands ctx prng =
+  let n = Doctree.size ctx.Context.tree in
+  let node () = Prng.int prng n in
+  let same =
+    let r = node () in
+    (grow_from ctx prng r, grow_from ctx prng r)
+  in
+  let ancestor =
+    let r1 = node () in
+    let r2 = random_descendant ctx prng r1 in
+    (grow_from ctx prng r1, grow_from ctx prng r2)
+  in
+  let disjoint =
+    List.init 8 (fun _ -> (node (), node ()))
+    |> List.find_opt (fun (a, b) -> not (is_ancestor ctx a b || is_ancestor ctx b a))
+    |> Option.map (fun (a, b) -> (grow_from ctx prng a, grow_from ctx prng b))
+  in
+  let random = (Random_tree.fragment ctx prng, Random_tree.fragment ctx prng) in
+  [ same; ancestor; (snd ancestor, fst ancestor); random ] @ Option.to_list disjoint
+
+(* Random filter trees over the bounded terms, terms that always answer
+   "may pass" (anti-monotone or not), and the connectives. *)
+let rec random_filter prng depth =
+  let leaf () =
+    match Prng.int prng 9 with
+    | 0 -> Filter.Size_at_most (Prng.int prng 12)
+    | 1 -> Filter.Span_at_most (Prng.int prng 16)
+    | 2 -> Filter.Height_at_most (Prng.int prng 5)
+    | 3 -> Filter.True
+    | 4 -> Filter.Depth_under (Prng.int prng 6)
+    | 5 -> Filter.Diameter_at_most (Prng.int prng 6)
+    | 6 -> Filter.Size_at_least (Prng.int prng 6)
+    | 7 -> Filter.Width_at_most (Prng.int prng 4)
+    | _ -> Filter.Not (Filter.Size_at_most (Prng.int prng 8))
+  in
+  if depth = 0 || Prng.int prng 3 = 0 then leaf ()
+  else
+    let p1 = random_filter prng (depth - 1) and p2 = random_filter prng (depth - 1) in
+    if Prng.bool prng then Filter.And (p1, p2) else Filter.Or (p1, p2)
+
+let may_join_sound_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"may_join rejects only joins that fail" ~count:300
+       QCheck2.Gen.(pair (1 -- 10_000) (1 -- 40))
+       (fun (seed, size) ->
+         let ctx = Random_tree.context ~seed ~size in
+         let prng = Prng.create (seed * 7) in
+         List.for_all
+           (fun (f1, f2) ->
+             let joined = Join.fragment ctx f1 f2 in
+             List.for_all
+               (fun _ ->
+                 let p = random_filter prng 3 in
+                 Filter.may_join ctx p f1 f2 || not (Filter.evaluate ctx p joined))
+               (List.init 12 Fun.id))
+           (join_operands ctx prng)))
+
+(* Where the bound is exact, [may_join] must flip exactly at the real
+   value: the disjoint-subtree size and the span in every case. *)
+let may_join_exact_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"may_join is exact for disjoint size and span" ~count:300
+       QCheck2.Gen.(pair (1 -- 10_000) (2 -- 40))
+       (fun (seed, size) ->
+         let ctx = Random_tree.context ~seed ~size in
+         let prng = Prng.create (seed * 11) in
+         let flips_at p_of v f1 f2 =
+           Filter.may_join ctx (p_of v) f1 f2
+           && not (Filter.may_join ctx (p_of (v - 1)) f1 f2)
+         in
+         List.for_all
+           (fun (f1, f2) ->
+             let joined = Join.fragment ctx f1 f2 in
+             let r1 = Fragment.root f1 and r2 = Fragment.root f2 in
+             let disjoint = not (is_ancestor ctx r1 r2 || is_ancestor ctx r2 r1) in
+             let depth = Doctree.depth ctx.Context.tree in
+             let span_formula =
+               let last f = Xfrag_util.Int_sorted.max_elt (Fragment.nodes f) in
+               max (last f1) (last f2) - Lca.lca ctx.Context.lca r1 r2
+             in
+             let size_ok =
+               (not disjoint)
+               || Fragment.size f1 + Fragment.size f2 + depth r1 + depth r2
+                  - (2 * depth (Lca.lca ctx.Context.lca r1 r2))
+                  - 1
+                  = Fragment.size joined
+                  && flips_at (fun b -> Filter.Size_at_most b) (Fragment.size joined) f1 f2
+             in
+             size_ok
+             && span_formula = Fragment.span joined
+             && flips_at (fun w -> Filter.Span_at_most w) (Fragment.span joined) f1 f2)
+           (join_operands ctx prng)))
+
 (* --- decomposition --- *)
 
 let test_decompose () =
@@ -352,6 +477,7 @@ let () =
         ] );
       ( "classification",
         [ Alcotest.test_case "table" `Quick test_classification; am_soundness_prop ] );
+      ("pre-join bound", [ may_join_sound_prop; may_join_exact_prop ]);
       ( "decomposition",
         [
           Alcotest.test_case "mixed" `Quick test_decompose;

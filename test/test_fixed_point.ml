@@ -6,6 +6,7 @@ module Fragment = Xfrag_core.Fragment
 module Frag_set = Xfrag_core.Frag_set
 module Join = Xfrag_core.Join
 module Fixed_point = Xfrag_core.Fixed_point
+module Filter = Xfrag_core.Filter
 module Reduce = Xfrag_core.Reduce
 module Op_stats = Xfrag_core.Op_stats
 module Paper = Xfrag_workload.Paper_doc
@@ -79,15 +80,15 @@ let test_filtered_fixed_point_prunes () =
   let s =
     Frag_set.of_list [ Fragment.singleton 16; Fragment.singleton 17; Fragment.singleton 81 ]
   in
-  let keep f = Fragment.size f <= 3 in
-  let pruned = Fixed_point.naive_filtered ctx ~keep s in
+  let prune = Filter.Size_at_most 3 in
+  let pruned = Fixed_point.naive_filtered ctx ~prune s in
   let full = Fixed_point.naive ctx s in
   (* Every kept fragment appears in the unfiltered fixed point and
      satisfies the predicate; every surviving fragment of the full fixed
      point appears in the pruned one (Theorem 3 soundness). *)
   Alcotest.(check bool) "pruned ⊆ full" true (Frag_set.subset pruned full);
   Alcotest.check set_testable "σ(F⁺) = pruned fixed point"
-    (Frag_set.filter keep full) pruned
+    (Frag_set.filter (Filter.evaluate ctx prune) full) pruned
 
 let test_round_counting () =
   let ctx = Paper.figure1_context () in
@@ -217,10 +218,10 @@ let semi_naive_filtered_prop =
     (QCheck2.Test.make ~name:"semi-naive with pruning = filtered naive" ~count:80 gen
        (fun input ->
          let ctx, s = random_set input in
-         let keep f = Fragment.size f <= 4 in
+         let prune = Filter.Size_at_most 4 in
          Frag_set.equal
-           (Fixed_point.naive_filtered ctx ~keep s)
-           (Fixed_point.semi_naive ~keep ctx s)))
+           (Fixed_point.naive_filtered ctx ~prune s)
+           (Fixed_point.semi_naive ~prune ctx s)))
 
 let semi_naive_fewer_joins_prop =
   QCheck_alcotest.to_alcotest
@@ -260,13 +261,13 @@ let filtered_soundness_prop =
     (QCheck2.Test.make ~name:"σ(F⁺) = filtered fixed point (size filter)" ~count:60 gen
        (fun input ->
          let ctx, s = random_set input in
-         let keep f = Fragment.size f <= 4 in
+         let prune = Filter.Size_at_most 4 in
          Frag_set.equal
-           (Frag_set.filter keep (Fixed_point.naive ctx s))
-           (Fixed_point.naive_filtered ctx ~keep s)
+           (Frag_set.filter (Filter.evaluate ctx prune) (Fixed_point.naive ctx s))
+           (Fixed_point.naive_filtered ctx ~prune s)
          && Frag_set.equal
-              (Frag_set.filter keep (Fixed_point.naive ctx s))
-              (Fixed_point.with_reduction_filtered ctx ~keep s)))
+              (Frag_set.filter (Filter.evaluate ctx prune) (Fixed_point.naive ctx s))
+              (Fixed_point.with_reduction_filtered ctx ~prune s)))
 
 let () =
   Alcotest.run "fixed_point"

@@ -6,7 +6,12 @@ module Context = Xfrag_core.Context
 module Fragment = Xfrag_core.Fragment
 module Frag_set = Xfrag_core.Frag_set
 module Join = Xfrag_core.Join
+module Filter = Xfrag_core.Filter
 module Op_stats = Xfrag_core.Op_stats
+module Join_cache = Xfrag_core.Join_cache
+module Selection = Xfrag_core.Selection
+module Eval = Xfrag_core.Eval
+module Query = Xfrag_core.Query
 module Paper = Xfrag_workload.Paper_doc
 module Random_tree = Xfrag_workload.Random_tree
 module Prng = Xfrag_util.Prng
@@ -98,7 +103,7 @@ let test_pairwise_filtered_prunes () =
   let s = Frag_set.of_list [ Fragment.singleton 2; Fragment.singleton 8 ] in
   let stats = Op_stats.create () in
   let result =
-    Join.pairwise_filtered ~stats ctx ~keep:(fun f -> Fragment.size f <= 2) s s
+    Join.pairwise_filtered ~stats ctx ~prune:(Filter.Size_at_most 2) s s
   in
   (* Self-joins survive (size 1); the cross join n2 ⋈ n8 spans the whole
      root path (size 6) and is pruned. *)
@@ -113,6 +118,50 @@ let test_stats_counting () =
   Alcotest.(check int) "4 joins" 4 stats.Op_stats.fragment_joins;
   Alcotest.(check int) "4 candidates" 4 stats.Op_stats.candidates;
   Alcotest.(check int) "1 duplicate" 1 stats.Op_stats.duplicates
+
+(* --- the pre-join bound: pairs that cannot pass are never joined --- *)
+
+(* Every keyword node sits four levels under its own top-level section,
+   so any two of them are joined through the document root: the
+   smallest such join has 9 nodes, far above β = 3. *)
+let far_apart_doc =
+  let section word = Printf.sprintf "<s><a><b><p>%s</p></b></a></s>" word in
+  "<doc>"
+  ^ String.concat "" (List.map section [ "apple"; "grape"; "apple"; "grape"; "apple" ])
+  ^ "</doc>"
+
+let test_bound_skips_far_pairs () =
+  let ctx = Context.of_xml_string far_apart_doc in
+  let f1 = Selection.keyword ctx "apple" and f2 = Selection.keyword ctx "grape" in
+  let n1 = Frag_set.cardinal f1 and n2 = Frag_set.cardinal f2 in
+  Alcotest.(check (pair int int)) "keyword sets" (3, 2) (n1, n2);
+  let cache = Join_cache.create ~admission:Join_cache.Admission.Admit_all () in
+  let stats = Op_stats.create () in
+  let out =
+    Join.pairwise_filtered ~stats ~cache ctx ~prune:(Filter.Size_at_most 3) f1 f2
+  in
+  Alcotest.(check int) "no answers" 0 (Frag_set.cardinal out);
+  Alcotest.(check int) "candidates = |F1|·|F2|" (n1 * n2) stats.Op_stats.candidates;
+  Alcotest.(check int) "every candidate pruned" (n1 * n2) stats.Op_stats.pruned;
+  Alcotest.(check int) "no join materialized" 0 stats.Op_stats.fragment_joins;
+  Alcotest.(check (pair int int)) "cache never probed" (0, 0)
+    (Join_cache.hits cache, Join_cache.misses cache);
+  Alcotest.(check (pair int int)) "no cache counters" (0, 0)
+    (stats.Op_stats.cache_hits, stats.Op_stats.cache_misses);
+  (* The whole size<=3 query: each keyword fixed point materializes only
+     its self-joins (f ⋈ f = f), and the final fold none. *)
+  let q = Query.make ~filter:(Filter.Size_at_most 3) [ "apple"; "grape" ] in
+  List.iter
+    (fun strategy ->
+      let o = Eval.run ~strategy ctx q in
+      let name = Eval.strategy_name strategy in
+      Alcotest.(check int) (name ^ ": no answers") 0 (Frag_set.cardinal o.Eval.answers);
+      Alcotest.(check int) (name ^ ": candidates")
+        ((n1 * n1) + (n2 * n2) + (n1 * n2))
+        o.Eval.stats.Op_stats.candidates;
+      Alcotest.(check int) (name ^ ": joins = self-joins") (n1 + n2)
+        o.Eval.stats.Op_stats.fragment_joins)
+    [ Eval.Pushdown; Eval.Semi_naive ]
 
 (* --- algebraic laws (Definition 4) as qcheck properties --- *)
 
@@ -231,11 +280,11 @@ let test_parallel_equals_sequential () =
         (Frag_set.equal sequential (Join.pairwise_parallel ~domains ctx s1 s2)))
     [ 1; 2; 4 ];
   (* Filtered variant, plus summed stats. *)
-  let keep f = Fragment.size f <= 5 in
+  let prune = Filter.Size_at_most 5 in
   let stats = Op_stats.create () in
-  let par = Join.pairwise_parallel ~stats ~domains:4 ~keep ctx s1 s2 in
+  let par = Join.pairwise_parallel ~stats ~domains:4 ~prune ctx s1 s2 in
   Alcotest.(check bool) "filtered parallel = filtered sequential" true
-    (Frag_set.equal (Join.pairwise_filtered ctx ~keep s1 s2) par);
+    (Frag_set.equal (Join.pairwise_filtered ctx ~prune s1 s2) par);
   Alcotest.(check int) "summed candidates"
     (Frag_set.cardinal s1 * Frag_set.cardinal s2)
     stats.Op_stats.candidates
@@ -272,11 +321,11 @@ let test_parallel_stats_match_serial () =
         serial.Op_stats.duplicates stats.Op_stats.duplicates)
     [ 1; 2; 4; 8 ];
   (* Filtered variant: pruned and duplicates must match too. *)
-  let keep f = Fragment.size f <= 6 in
+  let prune = Filter.Size_at_most 6 in
   let serial_f = Op_stats.create () in
-  ignore (Join.pairwise_filtered ~stats:serial_f ctx ~keep s1 s2);
+  ignore (Join.pairwise_filtered ~stats:serial_f ctx ~prune s1 s2);
   let par_f = Op_stats.create () in
-  ignore (Join.pairwise_parallel ~stats:par_f ~domains:4 ~keep ctx s1 s2);
+  ignore (Join.pairwise_parallel ~stats:par_f ~domains:4 ~prune ctx s1 s2);
   Alcotest.(check int) "filtered: pruned" serial_f.Op_stats.pruned
     par_f.Op_stats.pruned;
   Alcotest.(check int) "filtered: duplicates" serial_f.Op_stats.duplicates
@@ -305,6 +354,7 @@ let () =
           Alcotest.test_case "pairwise dedups" `Quick test_pairwise_dedups;
           Alcotest.test_case "pairwise_filtered prunes" `Quick test_pairwise_filtered_prunes;
           Alcotest.test_case "stats counting" `Quick test_stats_counting;
+          Alcotest.test_case "bound skips far pairs" `Quick test_bound_skips_far_pairs;
           Alcotest.test_case "pairwise not idempotent" `Quick pairwise_not_idempotent_witness;
           Alcotest.test_case "parallel = sequential" `Quick test_parallel_equals_sequential;
           Alcotest.test_case "parallel stats = serial stats" `Quick
