@@ -1440,13 +1440,15 @@ let () =
     | _ :: (_ :: _ as names) -> List.map String.lowercase_ascii names
     | _ -> List.map fst experiments
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown experiment %S (known: %s)\n" name
-            (String.concat ", " (List.map fst experiments)))
-    requested;
+  (* Validate every name before running anything, so a typo fails the
+     invocation instead of silently skipping one experiment. *)
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment(s) %s (known: %s)\n"
+        (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+        (String.concat ", " (List.map fst experiments));
+      exit 2);
+  List.iter (fun name -> (List.assoc name experiments) ()) requested;
   write_bench_json ();
   print_newline ()

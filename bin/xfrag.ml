@@ -14,7 +14,6 @@ module Exec = Xfrag_core.Exec
 module Corpus = Xfrag_core.Corpus
 module Deadline = Xfrag_core.Deadline
 module Op_stats = Xfrag_core.Op_stats
-module Optimizer = Xfrag_core.Optimizer
 module Doctree = Xfrag_doctree.Doctree
 module Stats = Xfrag_doctree.Stats
 module Ranking = Xfrag_baselines.Ranking
@@ -154,9 +153,11 @@ let explain_analyze_arg =
     value & flag
     & info [ "explain-analyze" ]
         ~doc:
-          "Execute the optimizer's chosen plan and print a per-operator \
-           tree annotated with measured wall time, input/output \
-           cardinalities, and operation-counter deltas.")
+          "Run the query's compiled plan (the one plain $(b,query) runs, \
+           for the same $(b,--strategy), $(b,--strict) and \
+           $(b,--join-cache)) and print a per-operator tree annotated \
+           with measured wall time, input/output cardinalities, and \
+           operation-counter deltas.")
 
 let trace_out_arg =
   Arg.(
@@ -347,7 +348,7 @@ let run_explain file keywords filter_str verbose =
       | q -> Ok q
       | exception Invalid_argument msg -> Error msg
     in
-    print_string (Optimizer.explain ctx query);
+    print_string (Xfrag_core.Explain.plans ctx (Exec.Request.of_query query));
     Ok ()
   in
   match result with
@@ -357,7 +358,10 @@ let run_explain file keywords filter_str verbose =
       1
 
 let explain_cmd =
-  let doc = "Show the optimizer's plan candidates and chosen evaluation tree." in
+  let doc =
+    "List every strategy's compiled plan with its estimated cost, mark the \
+     one Auto compiles to, and show that plan's evaluation tree."
+  in
   Cmd.v
     (Cmd.info "explain" ~doc)
     Term.(const run_explain $ file_arg $ keywords_arg $ filter_arg $ verbose_arg)

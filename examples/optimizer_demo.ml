@@ -1,6 +1,7 @@
-(* The plan-level optimizer at work (§3, §5): initial plan, Theorem 2 /
-   Theorem 1 / Theorem 3 rewrites, cost estimates, reduction-factor
-   probing, and measured operation counts for each strategy.
+(* Plans at work (§3, §5): initial plan, Theorem 2 / Theorem 1 /
+   Theorem 3 rewrites, every strategy's compiled plan with its cost
+   estimate and Auto's choice (reduction-factor probing included), and
+   measured operation counts for each strategy.
 
      dune exec examples/optimizer_demo.exe *)
 
@@ -10,8 +11,8 @@ module Query = Xfrag_core.Query
 module Eval = Xfrag_core.Eval
 module Plan = Xfrag_core.Plan
 module Rewrite = Xfrag_core.Rewrite
-module Cost = Xfrag_core.Cost
-module Optimizer = Xfrag_core.Optimizer
+module Exec = Xfrag_core.Exec
+module Explain = Xfrag_core.Explain
 module Docgen = Xfrag_workload.Docgen
 
 let rule () = Format.printf "%s@." (String.make 72 '-')
@@ -26,7 +27,7 @@ let show_query ctx q =
   Format.printf "Theorem 1 rewrite:   %a@." Plan.pp (Rewrite.use_reduction base);
   Format.printf "Theorem 3 rewrite:   %a@." Plan.pp (Rewrite.push_selection base);
   rule ();
-  print_string (Optimizer.explain ctx q);
+  print_string (Explain.plans ctx (Exec.Request.of_query q));
   rule ();
   Format.printf "measured operation counts per strategy:@.";
   List.iter
@@ -59,8 +60,8 @@ let () =
        ~filter:(Filter.And (Filter.Size_at_most 4, Filter.Height_at_most 2))
        [ "saffron"; "paella" ]);
 
-  (* Case 2: non-anti-monotonic filter only — nothing can be pushed; the
-     optimizer falls back to the Theorem 2 pipeline. *)
+  (* Case 2: non-anti-monotonic filter only — nothing can be pushed;
+     Auto probes the reduction factors instead. *)
   show_query ctx
     (Query.make ~filter:(Filter.Size_at_least 2) [ "saffron"; "paella" ]);
 

@@ -546,21 +546,3 @@ let run ?pool ?shards ?routing ?bound ?(scorer = fun _ _ -> 0.)
                0 shard_results);
     }
   end
-
-let request_of ?strategy query =
-  let request = Exec.Request.of_query query in
-  match strategy with
-  | None -> request
-  | Some s -> Exec.Request.with_strategy s request
-
-let search ?strategy t query =
-  List.map fst (run t (request_of ?strategy query)).hits
-
-let search_scored ~scorer ?strategy ?limit t query =
-  let request = request_of ?strategy query in
-  let request =
-    match limit with
-    | None -> request
-    | Some _ -> Exec.Request.with_limit limit request
-  in
-  (run ~scorer t request).hits

@@ -33,41 +33,55 @@ let rec estimate (ctx : Context.t) plan =
   | Plan.Select (p, x) ->
       let e = estimate ctx x in
       { cost = e.cost +. e.cardinality; cardinality = e.cardinality *. selectivity p }
-  | Plan.Pair_join (a, b) ->
-      let ea = estimate ctx a and eb = estimate ctx b in
-      let produced = ea.cardinality *. eb.cardinality in
-      { cost = ea.cost +. eb.cost +. produced; cardinality = cap produced }
-  | Plan.Pair_join_filtered (p, a, b) ->
-      let ea = estimate ctx a and eb = estimate ctx b in
-      let produced = ea.cardinality *. eb.cardinality in
-      {
-        cost = ea.cost +. eb.cost +. produced;
-        cardinality = cap (produced *. selectivity p);
-      }
-  | Plan.Power_join (a, b) ->
-      (* Literal powerset join: exponential in the operand sizes. *)
-      let ea = estimate ctx a and eb = estimate ctx b in
-      let subsets x = Float.min set_growth_cap (Float.pow 2.0 (Float.min x 40.0)) in
-      let produced = subsets ea.cardinality *. subsets eb.cardinality in
-      { cost = ea.cost +. eb.cost +. cap produced; cardinality = cap produced }
-  | Plan.Fixed_point x | Plan.Fixed_point_reduced x ->
+  | Plan.Strict_leaf (_, x) ->
       let e = estimate ctx x in
-      let rounds =
-        match plan with
-        | Plan.Fixed_point_reduced _ ->
-            (* Reduction typically shrinks the round count; we assume
-               half, plus the |F|² ⊖ probe. *)
-            Float.max 1.0 (e.cardinality /. 2.0)
-        | _ -> e.cardinality
-      in
+      { e with cost = e.cost +. e.cardinality }
+  | Plan.Join (p, x :: xs) ->
+      List.fold_left
+        (fun ea x ->
+          let eb = estimate ctx x in
+          let produced = ea.cardinality *. eb.cardinality in
+          {
+            cost = ea.cost +. eb.cost +. produced;
+            cardinality = cap (produced *. selectivity p);
+          })
+        (estimate ctx x) xs
+  | Plan.Join (_, []) | Plan.Power_join [] -> { cost = 0.0; cardinality = 0.0 }
+  | Plan.Power_join (x :: xs) ->
+      (* Literal powerset join: exponential in the operand sizes. *)
+      let subsets x = Float.min set_growth_cap (Float.pow 2.0 (Float.min x 40.0)) in
+      List.fold_left
+        (fun ea x ->
+          let eb = estimate ctx x in
+          let produced = cap (subsets ea.cardinality *. subsets eb.cardinality) in
+          { cost = ea.cost +. eb.cost +. produced; cardinality = produced })
+        (estimate ctx x) xs
+  | Plan.Reduce x ->
+      (* The |F|² pairwise joins every ⊖ performs. *)
+      let e = estimate ctx x in
+      { e with cost = e.cost +. (e.cardinality *. e.cardinality) }
+  | Plan.Fixed_point (algo, Filter.True, x) ->
+      let e = estimate ctx x in
       let out = cap (e.cardinality *. e.cardinality) in
-      let probe =
-        match plan with
-        | Plan.Fixed_point_reduced _ -> e.cardinality *. e.cardinality
-        | _ -> 0.0
+      let round = out *. e.cardinality /. 4.0 in
+      let work =
+        match algo with
+        | Plan.Naive -> e.cardinality *. round
+        | Plan.Semi_naive ->
+            (* Each discovered fragment is joined against the seed once. *)
+            out *. e.cardinality
+        | Plan.Reduced | Plan.Reduced_unchecked _ ->
+            (* Reduction typically halves the round count; the ⊖ probe
+               is paid here unless a Reduce node already computed it. *)
+            let probe =
+              match algo with
+              | Plan.Reduced_unchecked (Some _) -> 0.0
+              | _ -> e.cardinality *. e.cardinality
+            in
+            probe +. (Float.max 1.0 (e.cardinality /. 2.0) *. round)
       in
-      { cost = e.cost +. probe +. (rounds *. out *. e.cardinality /. 4.0); cardinality = out }
-  | Plan.Fixed_point_filtered (p, x) ->
+      { cost = e.cost +. work; cardinality = out }
+  | Plan.Fixed_point (_, p, x) ->
       let e = estimate ctx x in
       let seed = e.cardinality *. selectivity p in
       let out = cap (seed *. seed *. selectivity p) in

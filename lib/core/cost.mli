@@ -15,9 +15,10 @@
     - a selection costs its input size; its output is input size times a
       per-filter selectivity estimate.
 
-    The model exists to rank alternative plans, not to predict wall
-    time; the bench harness measures how well the ranking matches
-    reality. *)
+    The model only annotates: EXPLAIN and [xfrag explain] print the
+    estimate of each compiled plan, and nothing chooses by it (the
+    strategy rules live in {!Eval.compile}).  It does not predict wall
+    time. *)
 
 type estimate = { cost : float; cardinality : float }
 

@@ -21,7 +21,7 @@
 
 exception Expired
 (** Raised by {!check} once the deadline has passed.  Escapes
-    {!Eval.run} / {!Explain.analyze}; callers (e.g. the HTTP server's
+    {!Eval.exec} / {!Explain.analyze_request}; callers (e.g. the HTTP server's
     408 path) catch it at the request boundary. *)
 
 type t

@@ -20,11 +20,16 @@
     - {!Semi_naive}: Theorem 3 pruning with delta-iterated fixed points —
       each round joins only the previous round's discoveries against the
       seed (see {!Fixed_point.semi_naive}).
-    - {!Auto}: the {!Optimizer}'s choice.
+    - {!Auto}: the §5 rules of {!compile}.
 
     When [strict_leaf_semantics] is set, answers are additionally
     filtered by Definition 8's leaf-occurrence requirement (see
-    {!Query}). *)
+    {!Query}).
+
+    Every strategy is a {!Plan.t} shape.  {!compile} is the one step
+    from a request to a plan, and this module holds the one executor:
+    {!exec} (the query path) and {!exec_recorded} (EXPLAIN ANALYZE) run
+    the same compiled plan, the latter with a per-node recorder. *)
 
 type strategy = Exec.strategy =
   | Brute_force
@@ -46,9 +51,9 @@ type outcome = {
   elapsed_ns : int;  (** wall-clock time of the whole evaluation *)
   phase_ns : (string * int) list;
       (** coarse wall-clock breakdown, in execution order: [scan]
-          (posting-list lookups), [evaluate] (strategy choice, joins,
-          fixed points, final selection) and, when requested,
-          [strict-leaf].  Measured with a handful of clock reads, so it
+          (posting-list lookups and compiling, Auto's probe included),
+          [evaluate] (joins, fixed points, final selection) and, when
+          requested, [strict-leaf].  Measured with a handful of clock reads, so it
           is present whether or not tracing is enabled. *)
 }
 
@@ -60,6 +65,32 @@ val strategy_of_string : string -> (strategy, string) result
 
 val all_strategies : strategy list
 (** The six concrete strategies (without [Auto]). *)
+
+type compiled = {
+  strategy : strategy;  (** concrete: [Auto] resolved *)
+  plan : Plan.t;
+  probe : Plan.t list;
+      (** the Auto probe's [Reduce] nodes, evaluated while compiling —
+          shared with [plan] when set reduction won, otherwise run but
+          unused; [[]] when no probe ran *)
+}
+
+val compile : Context.t -> Exec.Request.t -> compiled
+(** The request's plan: the strategy's shape over the keyword scans,
+    the final selection, and Definition 8's σ when [strict_leaf] is
+    set.  Auto follows the measured rules (bench E1/A1): semi-naive
+    with Theorem 3 pruning whenever the filter has an anti-monotonic
+    part; otherwise a ⊖ probe of the keyword sets (when none has more
+    than 48 nodes) picks set reduction when a reduction factor reaches
+    0.25 (the paper's [v]), else semi-naive.  A keyword without
+    postings compiles to its empty scan.  Compiling runs the scans and
+    the probe (their results decide the plan); {!exec} does the same
+    inside the evaluation, so nothing runs twice there.
+    @raise Invalid_argument if the request has no usable keyword. *)
+
+val execute : Context.t -> Plan.t -> Frag_set.t
+(** Run any plan (e.g. a {!Rewrite} result) on the executor.
+    @raise Invalid_argument on a malformed plan node. *)
 
 val exec : ?clock:Xfrag_obs.Clock.t -> Context.t -> Exec.Request.t -> outcome
 (** Evaluate an {!Exec.Request.t} — the primary entry point; the CLI,
@@ -89,6 +120,27 @@ val exec : ?clock:Xfrag_obs.Clock.t -> Context.t -> Exec.Request.t -> outcome
     @raise Invalid_argument if the request has no usable keyword, or if
     [Brute_force] is asked to enumerate a keyword set above the
     exponential-enumeration guard. *)
+
+type record = {
+  rows : int;  (** output cardinality *)
+  in_rows : int list;  (** input cardinalities, one per child *)
+  self_ns : int;  (** clock time of the operator alone, inputs excluded *)
+  counters : (string * int) list;
+      (** non-zero {!Op_stats} deltas (cache counters included) charged
+          while the operator ran *)
+}
+(** What the recorder saw one plan node do. *)
+
+val exec_recorded :
+  ?clock:Xfrag_obs.Clock.t ->
+  Context.t ->
+  Exec.Request.t ->
+  outcome * compiled * (Plan.t * record) list
+(** {!exec} with the per-node recorder on: the same compile, cache
+    attachment and execution, plus the compiled plan and the record of
+    every physical node that ran (probe included).  [clock] times the
+    nodes as well as the outcome.  The records' counters sum to the
+    outcome's stats. *)
 
 val run :
   ?strategy:strategy ->

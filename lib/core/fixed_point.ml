@@ -36,9 +36,10 @@ let traced_fixed_point trace name seed_size f =
 let step ?stats ?cache ?trace ?deadline ctx ~prune acc seed =
   Join.pairwise_filtered ?stats ?cache ?trace ?deadline ctx ~prune acc seed
 
-let naive_general ?stats ?cache ?(trace = Trace.disabled)
-    ?(deadline = Deadline.none) ~name ctx ~prune set =
+let naive ?stats ?cache ?(trace = Trace.disabled) ?(deadline = Deadline.none)
+    ?(prune = Filter.True) ctx set =
   let seed = Frag_set.filter (Filter.evaluate ctx prune) set in
+  let name = if prune = Filter.True then "fixed-point" else "fixed-point:pruned" in
   if Frag_set.is_empty seed then seed
   else
     traced_fixed_point trace name (Frag_set.cardinal seed) (fun () ->
@@ -53,11 +54,6 @@ let naive_general ?stats ?cache ?(trace = Trace.disabled)
           else go (n + 1) next
         in
         go 1 seed)
-
-let naive ?stats ?cache ?trace ?deadline ctx set =
-  naive_general ?stats ?cache ?trace ?deadline ~name:"fixed-point" ctx
-    ~prune:Filter.True
-    set
 
 (* Delta iteration: only last round's discoveries are joined against the
    seed.  Complete because every k-fold join factors as a (k−1)-fold
@@ -88,10 +84,6 @@ let semi_naive ?stats ?cache ?(trace = Trace.disabled)
         in
         go 1 seed seed)
 
-let naive_filtered ?stats ?cache ?trace ?deadline ctx ~prune set =
-  naive_general ?stats ?cache ?trace ?deadline ~name:"fixed-point:pruned" ctx
-    ~prune set
-
 let iterate ?stats ?cache ?trace ?deadline ctx n set =
   if n < 1 then invalid_arg "Fixed_point.iterate: n must be at least 1";
   let rec go acc remaining =
@@ -111,7 +103,7 @@ let iterate ?stats ?cache ?trace ?deadline ctx n set =
    loop that makes the result correct for arbitrary seeds at the price of
    at least one confirming round. *)
 let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
-    ?(deadline = Deadline.none) ?reduced ctx ~prune ~confirm set =
+    ?(deadline = Deadline.none) ?(prune = Filter.True) ?reduced ~confirm ctx set =
   let seed = Frag_set.filter (Filter.evaluate ctx prune) set in
   if Frag_set.is_empty seed then seed
   else
@@ -155,21 +147,9 @@ let with_reduction_general ?stats ?cache ?(trace = Trace.disabled)
           converge n acc
         end)
 
-let with_reduction ?stats ?cache ?trace ?deadline ctx set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx
-    ~prune:Filter.True
-    ~confirm:true set
+let with_reduction ?stats ?cache ?trace ?deadline ?prune ctx set =
+  with_reduction_general ?stats ?cache ?trace ?deadline ?prune ~confirm:true ctx set
 
-let with_reduction_unchecked ?stats ?cache ?trace ?deadline ?reduced ctx set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ?reduced ctx
-    ~prune:Filter.True
-    ~confirm:false set
-
-let with_reduction_filtered ?stats ?cache ?trace ?deadline ctx ~prune set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~prune ~confirm:true
-    set
-
-let with_reduction_filtered_unchecked ?stats ?cache ?trace ?deadline ctx ~prune
-    set =
-  with_reduction_general ?stats ?cache ?trace ?deadline ctx ~prune
-    ~confirm:false set
+let with_reduction_unchecked ?stats ?cache ?trace ?deadline ?prune ?reduced ctx set =
+  with_reduction_general ?stats ?cache ?trace ?deadline ?prune ?reduced ~confirm:false
+    ctx set

@@ -22,11 +22,15 @@
       (§3.1.2), then verify convergence — sound for every input;
     - {!with_reduction_unchecked}: the paper's exact Theorem 1 recipe,
       exactly k−1 rounds and no check — use only on single-node seeds;
-    - {!naive_filtered} / {!with_reduction_filtered}: the same, pruned
-      by an anti-monotonic filter (Theorem 3 push-down inside the fixed
-      point), bounded before and checked after every join: pairs whose
-      join {!Filter.may_join} proves fails the filter are never built,
-      and every join that is built is checked with {!Filter.evaluate}.
+    - {!semi_naive}: delta iteration.
+
+    Each takes an optional [?prune] (default {!Filter.True}, unpruned):
+    an anti-monotonic filter pushed inside the fixed point (Theorem 3),
+    applied to the seed and bounded before and checked after every
+    join — pairs whose join {!Filter.may_join} proves fails the filter
+    are never built, and every join that is built is checked with
+    {!Filter.evaluate}.  Sound in the sense that
+    [σ_prune F⁺ = σ_prune (naive ~prune F)], likewise for the others.
 
     Every strategy accepts an optional [?deadline] ({!Deadline.t},
     default {!Deadline.none}): checked at the top of every round and
@@ -38,6 +42,7 @@ val naive :
   ?cache:Join_cache.t ->
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
+  ?prune:Filter.t ->
   Context.t ->
   Frag_set.t ->
   Frag_set.t
@@ -59,13 +64,14 @@ val semi_naive :
     earlier round.  Performs strictly fewer joins than {!naive} after the
     first round; answers are identical (property-tested).  [prune]
     (default {!Filter.True}) prunes anti-monotonically as in
-    {!naive_filtered}. *)
+    {!naive}. *)
 
 val with_reduction :
   ?stats:Op_stats.t ->
   ?cache:Join_cache.t ->
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
+  ?prune:Filter.t ->
   Context.t ->
   Frag_set.t ->
   Frag_set.t
@@ -75,6 +81,7 @@ val with_reduction_unchecked :
   ?cache:Join_cache.t ->
   ?trace:Xfrag_obs.Trace.t ->
   ?deadline:Deadline.t ->
+  ?prune:Filter.t ->
   ?reduced:Frag_set.t ->
   Context.t ->
   Frag_set.t ->
@@ -82,10 +89,14 @@ val with_reduction_unchecked :
 (** Theorem 1 verbatim: exactly |⊖(F)|−1 pairwise-join rounds, no
     convergence check.  Correct when every member of the input is a
     single-node fragment (the paper's use case); may under-compute on
-    general inputs — see the erratum above.  [reduced], when given, must
-    be ⊖ of the input computed against the same context — it skips the
-    internal reduce so a caller that already reduced the seed (e.g. the
-    Auto-strategy probe in {!Eval}) does not pay for it twice. *)
+    general inputs — see the erratum above.  With [prune], the round
+    count is |⊖(σ_prune F)|−1, and the result is still correct for
+    single-node seeds and anti-monotonic [prune] (σ_prune of the answer
+    is reached within that round count — see the induction in
+    DESIGN.md).  [reduced], when given, must be ⊖ of the pruned input
+    computed against the same context — it skips the internal reduce
+    so a caller that already reduced the seed (e.g. the Auto-strategy
+    probe's [Reduce] plan node) does not pay for it twice. *)
 
 val iterate :
   ?stats:Op_stats.t ->
@@ -99,45 +110,3 @@ val iterate :
 (** [iterate ctx n f] is ⋈ₙ(F): the pairwise self-join applied to [n]
     copies of [F] (so [iterate ctx 1 f = f]).
     @raise Invalid_argument if [n < 1]. *)
-
-val naive_filtered :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  prune:Filter.t ->
-  Frag_set.t ->
-  Frag_set.t
-(** Fixed point of the [prune]-pruned join sequence, starting from
-    [σ_prune F]; each round's joins are bounded before and checked
-    after (see {!Join.pairwise_filtered}).  Sound for anti-monotonic
-    [prune] in the sense that
-    [σ_prune F⁺ = σ_prune (naive_filtered ~prune F)]. *)
-
-val with_reduction_filtered :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  prune:Filter.t ->
-  Frag_set.t ->
-  Frag_set.t
-(** Like {!naive_filtered} but fast-forwarded through |⊖|−1 rounds of the
-    pruned seed set before the convergence check. *)
-
-val with_reduction_filtered_unchecked :
-  ?stats:Op_stats.t ->
-  ?cache:Join_cache.t ->
-  ?trace:Xfrag_obs.Trace.t ->
-  ?deadline:Deadline.t ->
-  Context.t ->
-  prune:Filter.t ->
-  Frag_set.t ->
-  Frag_set.t
-(** Theorem 1 + Theorem 3 combined with no convergence check: exactly
-    |⊖(σ_prune F)|−1 pruned rounds.  Correct when the input is a set of
-    single-node fragments and [prune] is anti-monotonic (σ_prune of the
-    answer is then reached within that round count — see the induction
-    in DESIGN.md). *)

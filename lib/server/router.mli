@@ -86,10 +86,7 @@
     [parse_error], [not_found], [method_not_allowed], [deadline],
     [fault_injected], [internal], [overloaded], …), [message] the
     human-oriented text, and [request_id] the same id as the header.
-    Fault-injected 500s add ["site"]; 405s add ["allow"].  {e Deprecated
-    aliases} (kept one release): [kind] / [site] / [request_id] are
-    mirrored at the top level of the body, where pre-envelope responses
-    carried them.  Wrong method on a known path is 405 with an [Allow]
+    Fault-injected 500s add ["site"]; 405s add ["allow"].  Wrong method on a known path is 405 with an [Allow]
     header and the allowed-method list in the body; unknown paths are
     404; undecodable bodies are 400.  [handle] never raises.
 

@@ -81,7 +81,7 @@ let test_filtered_fixed_point_prunes () =
     Frag_set.of_list [ Fragment.singleton 16; Fragment.singleton 17; Fragment.singleton 81 ]
   in
   let prune = Filter.Size_at_most 3 in
-  let pruned = Fixed_point.naive_filtered ctx ~prune s in
+  let pruned = Fixed_point.naive ctx ~prune s in
   let full = Fixed_point.naive ctx s in
   (* Every kept fragment appears in the unfiltered fixed point and
      satisfies the predicate; every surviving fragment of the full fixed
@@ -220,7 +220,7 @@ let semi_naive_filtered_prop =
          let ctx, s = random_set input in
          let prune = Filter.Size_at_most 4 in
          Frag_set.equal
-           (Fixed_point.naive_filtered ctx ~prune s)
+           (Fixed_point.naive ctx ~prune s)
            (Fixed_point.semi_naive ~prune ctx s)))
 
 let semi_naive_fewer_joins_prop =
@@ -264,10 +264,10 @@ let filtered_soundness_prop =
          let prune = Filter.Size_at_most 4 in
          Frag_set.equal
            (Frag_set.filter (Filter.evaluate ctx prune) (Fixed_point.naive ctx s))
-           (Fixed_point.naive_filtered ctx ~prune s)
+           (Fixed_point.naive ctx ~prune s)
          && Frag_set.equal
               (Frag_set.filter (Filter.evaluate ctx prune) (Fixed_point.naive ctx s))
-              (Fixed_point.with_reduction_filtered ctx ~prune s)))
+              (Fixed_point.with_reduction ctx ~prune s)))
 
 let () =
   Alcotest.run "fixed_point"

@@ -1,5 +1,6 @@
-(* Tests for logical plans (Figure 5), rewrite rules (§3), the cost
-   model, and the plan-level optimizer (§5). *)
+(* Tests for plans (Figure 5), rewrite rules (§3) run on the one
+   executor, the cost model, and the plans the compile step builds
+   (§5's Auto rules included). *)
 
 module Context = Xfrag_core.Context
 module Fragment = Xfrag_core.Fragment
@@ -10,7 +11,8 @@ module Eval = Xfrag_core.Eval
 module Plan = Xfrag_core.Plan
 module Rewrite = Xfrag_core.Rewrite
 module Cost = Xfrag_core.Cost
-module Optimizer = Xfrag_core.Optimizer
+module Exec = Xfrag_core.Exec
+module Explain = Xfrag_core.Explain
 module Paper = Xfrag_workload.Paper_doc
 module Random_tree = Xfrag_workload.Random_tree
 module Prng = Xfrag_util.Prng
@@ -26,7 +28,7 @@ let paper_query () = Query.make ~filter:(Filter.Size_at_most 3) Paper.query_keyw
 let test_initial_plan_shape () =
   let q = paper_query () in
   match Plan.initial q with
-  | Plan.Select (Filter.Size_at_most 3, Plan.Power_join (Plan.Scan_keyword k1, Plan.Scan_keyword k2)) ->
+  | Plan.Select (Filter.Size_at_most 3, Plan.Power_join [ Plan.Scan_keyword k1; Plan.Scan_keyword k2 ]) ->
       Alcotest.(check string) "first keyword" "optimization" k1;
       Alcotest.(check string) "second keyword" "xquery" k2
   | p -> Alcotest.failf "unexpected initial plan %s" (Format.asprintf "%a" Plan.pp p)
@@ -36,8 +38,8 @@ let test_initial_plan_three_keywords () =
   match Plan.initial q with
   | Plan.Select
       ( Filter.True,
-        Plan.Power_join (Plan.Power_join (Plan.Scan_keyword "a", Plan.Scan_keyword "b"),
-                         Plan.Scan_keyword "c") ) ->
+        Plan.Power_join
+          [ Plan.Scan_keyword "a"; Plan.Scan_keyword "b"; Plan.Scan_keyword "c" ] ) ->
       ()
   | p -> Alcotest.failf "unexpected plan %s" (Format.asprintf "%a" Plan.pp p)
 
@@ -48,21 +50,33 @@ let test_initial_plan_evaluates_to_answer () =
   let q = paper_query () in
   Alcotest.check set_testable "plan eval = strategy eval"
     (Eval.answers ~strategy:Eval.Brute_force c q)
-    (Plan.eval c (Plan.initial q))
+    (Eval.execute c (Plan.initial q))
 
 (* --- rewrite rules preserve semantics --- *)
 
 let test_power_to_fixpoint_shape () =
   let q = paper_query () in
   match Rewrite.power_to_fixpoint (Plan.initial q) with
-  | Plan.Select (_, Plan.Pair_join (Plan.Fixed_point _, Plan.Fixed_point _)) -> ()
+  | Plan.Select
+      ( _,
+        Plan.Join
+          ( Filter.True,
+            [ Plan.Fixed_point (Plan.Naive, Filter.True, _);
+              Plan.Fixed_point (Plan.Naive, Filter.True, _) ] ) ) ->
+      ()
   | p -> Alcotest.failf "unexpected shape %s" (Format.asprintf "%a" Plan.pp p)
 
 let test_use_reduction_shape () =
   let q = paper_query () in
   let p = Rewrite.use_reduction (Rewrite.power_to_fixpoint (Plan.initial q)) in
   match p with
-  | Plan.Select (_, Plan.Pair_join (Plan.Fixed_point_reduced _, Plan.Fixed_point_reduced _)) -> ()
+  | Plan.Select
+      ( _,
+        Plan.Join
+          ( Filter.True,
+            [ Plan.Fixed_point (Plan.Reduced, Filter.True, _);
+              Plan.Fixed_point (Plan.Reduced, Filter.True, _) ] ) ) ->
+      ()
   | p -> Alcotest.failf "unexpected shape %s" (Format.asprintf "%a" Plan.pp p)
 
 let test_push_selection_shape () =
@@ -73,17 +87,21 @@ let test_push_selection_shape () =
   match p with
   | Plan.Select
       ( Filter.Size_at_most 3,
-        Plan.Pair_join_filtered
+        Plan.Join
           ( Filter.Size_at_most 3,
-            Plan.Fixed_point_filtered (_, Plan.Select (Filter.Size_at_most 3, Plan.Scan_keyword _)),
-            Plan.Fixed_point_filtered (_, Plan.Select (Filter.Size_at_most 3, Plan.Scan_keyword _)) ) ) ->
+            [ Plan.Fixed_point
+                (Plan.Naive, Filter.Size_at_most 3,
+                 Plan.Select (Filter.Size_at_most 3, Plan.Scan_keyword _));
+              Plan.Fixed_point
+                (Plan.Naive, Filter.Size_at_most 3,
+                 Plan.Select (Filter.Size_at_most 3, Plan.Scan_keyword _)) ] ) ) ->
       ()
   | p -> Alcotest.failf "unexpected shape %s" (Format.asprintf "%a" Plan.pp p)
 
 let test_push_selection_id_without_am_filter () =
   let q = Query.make ~filter:(Filter.Size_at_least 2) [ "xquery"; "optimization" ] in
   let base = Rewrite.power_to_fixpoint (Plan.initial q) in
-  Alcotest.(check bool) "no change" true (Plan.equal base (Rewrite.push_selection base))
+  Alcotest.(check bool) "no change" true (base = Rewrite.push_selection base)
 
 let test_mixed_filter_residual_on_top () =
   let filter = Filter.And (Filter.Size_at_most 3, Filter.Size_at_least 2) in
@@ -108,9 +126,9 @@ let rewrites_preserve_semantics_prop =
          in
          let q = Query.make ~filter [ k1; k2 ] in
          let base = Plan.initial q in
-         let reference = Plan.eval c (Rewrite.power_to_fixpoint base) in
+         let reference = Eval.execute c (Rewrite.power_to_fixpoint base) in
          List.for_all
-           (fun rewritten -> Frag_set.equal reference (Plan.eval c rewritten))
+           (fun rewritten -> Frag_set.equal reference (Eval.execute c rewritten))
            [
              Rewrite.use_reduction (Rewrite.power_to_fixpoint base);
              Rewrite.push_selection (Rewrite.power_to_fixpoint base);
@@ -121,10 +139,10 @@ let test_paper_example_all_rewrites () =
   let c = Lazy.force ctx in
   let q = paper_query () in
   let base = Plan.initial q in
-  let reference = Plan.eval c base in
+  let reference = Eval.execute c base in
   List.iter
     (fun (name, p) ->
-      Alcotest.check set_testable name reference (Plan.eval c p))
+      Alcotest.check set_testable name reference (Eval.execute c p))
     [
       ("power_to_fixpoint", Rewrite.power_to_fixpoint base);
       ("use_reduction", Rewrite.use_reduction (Rewrite.power_to_fixpoint base));
@@ -185,30 +203,62 @@ let test_selectivity_bounds () =
       Alcotest.(check bool) (Filter.to_string p) true (s >= 0.0 && s <= 1.0))
     filters
 
+(* Every strategy's compiled plan, and Auto's, executes to the answer. *)
 let test_optimizer_chooses_valid_plan () =
   let c = Lazy.force ctx in
   let q = paper_query () in
-  let choice = Optimizer.optimize c q in
-  Alcotest.check set_testable "optimizer plan is correct"
-    (Eval.answers ~strategy:Eval.Brute_force c q)
-    (Plan.eval c choice.Optimizer.plan);
-  Alcotest.(check bool) "cheapest among alternatives" true
-    (List.for_all (fun (_, cost) -> cost >= choice.Optimizer.estimated_cost)
-       choice.Optimizer.alternatives)
+  let expected = Eval.answers ~strategy:Eval.Brute_force c q in
+  List.iter
+    (fun strategy ->
+      let compiled =
+        Eval.compile c (Exec.Request.with_strategy strategy (Exec.Request.of_query q))
+      in
+      Alcotest.check set_testable (Eval.strategy_name strategy) expected
+        (Eval.execute c compiled.Eval.plan))
+    (Eval.Auto :: Eval.all_strategies);
+  (* An anti-monotonic filter sends Auto to pruned semi-naive, unprobed. *)
+  let auto = Eval.compile c (Exec.Request.of_query q) in
+  Alcotest.(check string) "auto = semi-naive" "semi-naive"
+    (Eval.strategy_name auto.Eval.strategy);
+  Alcotest.(check int) "no probe" 0 (List.length auto.Eval.probe)
 
 let test_optimizer_probes_rf () =
   let c = Lazy.force ctx in
-  let choice = Optimizer.optimize c (paper_query ()) in
-  (* F2 = {16,17,81} reduces to {17,81}: RF = 1/3. *)
-  match List.assoc_opt "optimization" choice.Optimizer.reduction_factors with
-  | Some rf -> Alcotest.(check bool) "RF ≈ 1/3" true (Float.abs (rf -. (1.0 /. 3.0)) < 1e-9)
-  | None -> Alcotest.fail "optimization RF not probed"
+  (* No anti-monotonic filter: Auto probes ⊖ of each keyword set.
+     F(optimization) = {16,17,81} reduces to {17,81}: RF = 1/3 clears
+     the threshold, so set reduction wins and consumes the probe. *)
+  let auto = Eval.compile c (Exec.Request.of_query (Query.make Paper.query_keywords)) in
+  Alcotest.(check string) "auto = set-reduction" "set-reduction"
+    (Eval.strategy_name auto.Eval.strategy);
+  match
+    List.find_opt
+      (function Plan.Reduce (Plan.Scan_keyword "optimization") -> true | _ -> false)
+      auto.Eval.probe
+  with
+  | Some (Plan.Reduce scan as probe) ->
+      let rf =
+        Xfrag_core.Reduce.factor_of ~original:(Eval.execute c scan)
+          ~reduced:(Eval.execute c probe)
+      in
+      Alcotest.(check bool) "RF ≈ 1/3" true (Float.abs (rf -. (1.0 /. 3.0)) < 1e-9);
+      let rec consumes = function
+        | Plan.Fixed_point (Plan.Reduced_unchecked (Some r), _, _) when r == probe -> true
+        | p -> List.exists consumes (Plan.children p)
+      in
+      Alcotest.(check bool) "fixed point consumes the probe" true (consumes auto.Eval.plan)
+  | _ -> Alcotest.fail "optimization RF not probed"
 
 let test_explain_mentions_plans () =
   let c = Lazy.force ctx in
-  let report = Optimizer.explain c (paper_query ()) in
-  Alcotest.(check bool) "mentions candidates" true
-    (Astring.String.is_infix ~affix:"candidates:" report);
+  let report =
+    Explain.plans c (Exec.Request.of_query (Query.make Paper.query_keywords))
+  in
+  Alcotest.(check bool) "lists the strategies" true
+    (List.for_all
+       (fun s -> Astring.String.is_infix ~affix:(Eval.strategy_name s) report)
+       Eval.all_strategies);
+  Alcotest.(check bool) "marks auto's plan" true
+    (Astring.String.is_infix ~affix:"* set-reduction" report);
   Alcotest.(check bool) "mentions RF" true
     (Astring.String.is_infix ~affix:"RF" report)
 

@@ -365,6 +365,12 @@ let string_field key j =
   | Some s -> s
   | None -> Alcotest.failf "missing string field %S" key
 
+(* A string field of the body's [{"error": {...}}] envelope. *)
+let error_field key j =
+  match Json.member "error" j with
+  | Some env -> string_field key env
+  | None -> Alcotest.failf "no error envelope in %s" (Json.to_string j)
+
 let query_body =
   Json.to_string
     (Json.Obj
@@ -410,7 +416,7 @@ let test_request_id_on_error_responses () =
     Alcotest.(check bool)
       (Printf.sprintf "%d body carries request_id" resp.Http.status)
       true
-      (String.length (string_field "request_id" (body_json resp)) > 0)
+      (String.length (error_field "request_id" (body_json resp)) > 0)
   in
   has_id "{nope";
   (* 400: unparseable body *)
@@ -522,7 +528,7 @@ let test_fault_500_lands_in_recorder () =
       Alcotest.(check (option string)) "500 echoes the id" (Some "chaos-1")
         (resp_header "x-request-id" resp);
       Alcotest.(check string) "500 body carries request_id" "chaos-1"
-        (string_field "request_id" (body_json resp));
+        (error_field "request_id" (body_json resp));
       match Recorder.find "chaos-1" with
       | None -> Alcotest.fail "fault event not in the flight recorder"
       | Some ev ->
@@ -687,9 +693,10 @@ let test_error_envelope_shape () =
     (String.length (string_field "message" env) > 0);
   let id = string_field "request_id" env in
   Alcotest.(check bool) "envelope request_id" true (String.length id > 0);
-  (* Deprecated top-level aliases mirror the envelope for one release. *)
-  Alcotest.(check string) "alias kind" "not_found" (string_field "kind" j);
-  Alcotest.(check string) "alias request_id" id (string_field "request_id" j)
+  (* The envelope is the whole body: no top-level mirrors of its fields. *)
+  Alcotest.(check bool) "no top-level kind" true (Json.member "kind" j = None);
+  Alcotest.(check bool) "no top-level request_id" true
+    (Json.member "request_id" j = None)
 
 let test_405_allow () =
   let router = make_corpus_router () in
@@ -706,7 +713,7 @@ let test_405_allow () =
       expect
       (List.map
          (function Json.String s -> s | _ -> "?")
-         (list_field "allow" j));
+         (list_field "allow" (obj_field "error" j)));
     Alcotest.(check string) (path ^ " kind") "method_not_allowed"
       (string_field "kind" (obj_field "error" j))
   in
